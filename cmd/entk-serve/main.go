@@ -36,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -51,32 +52,42 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("entk-serve: ")
-	addr := flag.String("addr", "127.0.0.1:8750", "listen address")
-	state := flag.String("state", "", "state directory for persistence and resume (empty: none)")
-	engine := flag.String("engine", "handoff", "clock engine: handoff or ref")
-	layout := flag.String("layout", "columnar", "profiler layout: columnar or ref")
-	tenantCap := flag.Int("tenant-cap", 0, "max in-flight campaigns per tenant (0: unlimited)")
-	maxInFlight := flag.Int("max-inflight", 0, "max in-flight campaigns total (0: unlimited)")
-	weights := flag.String("weights", "", "fair-share weights, e.g. alice=2,bob=1")
-	mode := flag.String("mode", "sim", "execution mode: sim (virtual time) or real (wall clock, kernels with an executable run as OS processes)")
-	outdir := flag.String("outdir", "", "real mode: directory for per-unit stdout/stderr captures (default: a fresh temp dir)")
-	flag.Parse()
+	if err := run(os.Args[1:], nil); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the daemon: it parses args, serves until SIGINT or SIGTERM,
+// and then shuts down gracefully. ready, when non-nil, receives the
+// listening address once requests are being answered.
+func run(args []string, ready chan<- string) error {
+	fs := flag.NewFlagSet("entk-serve", flag.ExitOnError)
+	addr := fs.String("addr", "127.0.0.1:8750", "listen address")
+	state := fs.String("state", "", "state directory for persistence and resume (empty: none)")
+	engine := fs.String("engine", "handoff", "clock engine: handoff or ref")
+	layout := fs.String("layout", "columnar", "profiler layout: columnar or ref")
+	tenantCap := fs.Int("tenant-cap", 0, "max in-flight campaigns per tenant (0: unlimited)")
+	maxInFlight := fs.Int("max-inflight", 0, "max in-flight campaigns total (0: unlimited)")
+	weights := fs.String("weights", "", "fair-share weights, e.g. alice=2,bob=1")
+	mode := fs.String("mode", "sim", "execution mode: sim (virtual time) or real (wall clock, kernels with an executable run as OS processes)")
+	outdir := fs.String("outdir", "", "real mode: directory for per-unit stdout/stderr captures (default: a fresh temp dir)")
+	fs.Parse(args)
 
 	eng, err := campaign.ParseEngine(*engine)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	lay, err := campaign.ParseLayout(*layout)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	w, err := parseWeights(*weights)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	md, err := campaign.ParseMode(*mode)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	o, err := serve.New(serve.Options{
@@ -90,25 +101,37 @@ func main() {
 		Weights:     w,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if n := len(o.List()); n > 0 {
 		log.Printf("restored %d campaign(s) from %s", n, *state)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: serve.NewHandler(o)}
+	// Catch the stop signals before the daemon answers anything: a
+	// SIGTERM sent right after the first answer must still end in the
+	// graceful, checkpointing shutdown, not the default kill.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sigc)
+
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	srv := &http.Server{Handler: serve.NewHandler(o)}
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("listening on http://%s (mode=%s engine=%s layout=%s)", *addr, md, eng, lay)
+	go func() { errc <- srv.Serve(ln) }()
+	log.Printf("listening on http://%s (mode=%s engine=%s layout=%s)", ln.Addr(), md, eng, lay)
 	if dir := o.RunnerDir(); dir != "" {
 		log.Printf("real mode: unit output under %s", dir)
 	}
+	if ready != nil {
+		ready <- ln.Addr().String()
+	}
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case err := <-errc:
-		log.Fatal(err)
+		return err
 	case sig := <-sigc:
 		log.Printf("%v: shutting down, checkpointing in-flight campaigns", sig)
 	}
@@ -120,6 +143,7 @@ func main() {
 	if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Printf("http shutdown: %v", err)
 	}
+	return nil
 }
 
 func parseWeights(s string) (map[string]float64, error) {

@@ -122,48 +122,63 @@ func (am *AppManager) Resume(cp *CampaignCheckpoint, pls ...*Pipeline) (*Campaig
 	return am.run(cp, pls)
 }
 
-func (am *AppManager) run(cp *CampaignCheckpoint, pls []*Pipeline) (*CampaignReport, error) {
-	rs := am.rs
-	if len(pls) == 0 {
-		return nil, fmt.Errorf("core: campaign with no pipelines")
+// Track resets the campaign tracker and pre-registers the pipelines
+// exactly as Run (cp nil) or Resume (cp) is about to: in submission
+// order, so Checkpoint() ordering is deterministic no matter which
+// pipeline settles a barrier first, and on resume starting from the
+// checkpoint's snapshots — a pipeline that settles nothing further
+// re-checkpoints unchanged. Run and Resume call it themselves before
+// waiting for the pilots; a service that hands the manager to other
+// goroutines before calling Run calls Track first, so a Checkpoint
+// taken in between (pilots still queued) already holds every pipeline.
+func (am *AppManager) Track(cp *CampaignCheckpoint, pls ...*Pipeline) {
+	am.mu.Lock()
+	defer am.mu.Unlock()
+	am.order = am.order[:0]
+	clear(am.byName)
+	for _, name := range pipelineNames(pls) {
+		reg := PipelineCheckpoint{Name: name}
+		if pc := cp.Pipeline(name); pc != nil {
+			reg = *pc
+		}
+		am.order = append(am.order, name)
+		am.byName[name] = reg
 	}
+}
+
+// pipelineNames returns each pipeline's name, "p<n>" for unnamed ones.
+func pipelineNames(pls []*Pipeline) []string {
 	names := make([]string, len(pls))
 	for i, pl := range pls {
-		if err := pl.validate(); err != nil {
-			return nil, err
-		}
 		names[i] = pl.Name
 		if names[i] == "" {
 			names[i] = "p" + pad.Int(i+1, 1)
 		}
 	}
+	return names
+}
+
+func (am *AppManager) run(cp *CampaignCheckpoint, pls []*Pipeline) (*CampaignReport, error) {
+	rs := am.rs
+	if len(pls) == 0 {
+		return nil, fmt.Errorf("core: campaign with no pipelines")
+	}
+	for _, pl := range pls {
+		if err := pl.validate(); err != nil {
+			return nil, err
+		}
+	}
+	names := pipelineNames(pls)
 	rs.mu.Lock()
 	ok := rs.allocated
 	rs.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("core: campaign Run before Allocate")
 	}
+	am.Track(cp, pls...)
 	if err := rs.waitActive(); err != nil {
 		return nil, err
 	}
-
-	// Reset the campaign tracker and pre-register every pipeline in
-	// submission order, so Checkpoint() ordering is deterministic no
-	// matter which pipeline settles a barrier first. On resume the
-	// registrations start from the checkpoint's snapshots — a pipeline
-	// that settles nothing further re-checkpoints unchanged.
-	am.mu.Lock()
-	am.order = am.order[:0]
-	clear(am.byName)
-	for i := range pls {
-		reg := PipelineCheckpoint{Name: names[i]}
-		if pc := cp.Pipeline(names[i]); pc != nil {
-			reg = *pc
-		}
-		am.order = append(am.order, names[i])
-		am.byName[names[i]] = reg
-	}
-	am.mu.Unlock()
 
 	// Per-pilot utilization snapshots bracketing the campaign window,
 	// keyed by identity: the set may grow (AddPilot) or shrink

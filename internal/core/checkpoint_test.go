@@ -465,3 +465,41 @@ func TestResumePostStageGrowth(t *testing.T) {
 		t.Errorf("phase projection diverges:\nresumed  %+v\nbaseline %+v", got, want)
 	}
 }
+
+// TestCheckpointDuringQueueWait pins the tracker's registration point:
+// a checkpoint taken from another process while the pilot still waits
+// in the batch queue (4 s on test.bind.wide) already lists every
+// pipeline, with nothing settled yet.
+func TestCheckpointDuringQueueWait(t *testing.T) {
+	registerBindingMachines(t)
+	v := vclock.NewVirtual()
+	rs, err := NewResourceSet([]PilotSpec{
+		{Resource: "test.bind.wide", Cores: 32, Walltime: 100 * time.Hour},
+	}, Config{Clock: v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	am := NewAppManager(rs)
+	var mid *CampaignCheckpoint
+	v.Run(func() {
+		if err := rs.Allocate(); err != nil {
+			t.Fatal(err)
+		}
+		v.After(time.Second, func() { mid = am.Checkpoint() })
+		if _, err := am.Run(faultPipeline("early", 4, 2, 5, false), faultPipeline("late", 4, 2, 5, false)); err != nil {
+			t.Fatal(err)
+		}
+		rs.Deallocate()
+	})
+	if mid == nil {
+		t.Fatal("mid-queue checkpoint never taken")
+	}
+	if len(mid.Pipelines) != 2 || mid.Pipelines[0].Name != "early" || mid.Pipelines[1].Name != "late" {
+		t.Fatalf("checkpoint during the queue wait holds %+v, want pipelines early, late", mid.Pipelines)
+	}
+	for _, pc := range mid.Pipelines {
+		if pc.SettledStages != 0 {
+			t.Errorf("pipeline %s settled %d stages before its pilot was active", pc.Name, pc.SettledStages)
+		}
+	}
+}

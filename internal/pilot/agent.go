@@ -26,9 +26,9 @@ import (
 //   - a pending-need watermark (minNeedAny/minNeedMPI) lets completion
 //     events skip the pass entirely when no pending unit can fit the
 //     newly freed capacity — the common case for a saturated pilot;
-//   - passes are batched: while one pass runs, further submit/completion
-//     events only mark the queue dirty, and the running pass loops until
-//     clean, so one pass services many same-instant completions;
+//   - a pass runs to completion under the agent lock and launches its
+//     placements in placement order, so nothing interleaves with it and
+//     one pass always leaves nothing placeable behind;
 //   - within a pass, an O(1) feasibility precheck (against the free-core
 //     index) rejects units without touching the node state — and, on the
 //     segmented queue, blocks the unit's whole placement class for the
@@ -51,11 +51,6 @@ type agent struct {
 	pilot *ComputePilot
 	sess  *Session
 
-	// launch bounds concurrent task launches; each launch also pays the
-	// machine's per-task launch latency. This is the runtime-side,
-	// per-task overhead component.
-	launch *vclock.Semaphore
-
 	mu      sync.Mutex
 	sched   scheduler
 	pend    pendingQueue
@@ -63,26 +58,20 @@ type agent struct {
 	stopped bool
 	stopErr error
 	running int
-	// stoppedFlag mirrors stopped for the executor's lock-free checks on
+	// stoppedFlag mirrors stopped for the flights' lock-free checks on
 	// the per-unit hot path; written under mu, read via atomic.
 	stoppedFlag atomic.Bool
 
-	// inPass and dirty coalesce scheduling passes; scratch is a
-	// pass-local buffer reused across passes (only the pass owner
-	// touches it).
-	inPass  bool
-	dirty   bool
-	scratch []launchReq
-
-	// idle is a LIFO free list of executor workers whose chains ran dry:
-	// parked on plain channels and detached from the virtual clock, so
-	// they are invisible to the engine while idle, and a new scheduling
-	// wave re-attaches them instead of spawning fresh goroutines (whose
-	// stacks would have to regrow — 8k-goroutine waves made the runtime's
-	// stack machinery a top profile entry). Guarded by idleMu; drained by
-	// stop.
-	idleMu sync.Mutex
-	idle   *execSlot
+	// Launch slots (under mu): launchFree counts idle slots of the
+	// launcher's width; placed flights beyond it wait in the FIFO
+	// launchHead..launchTail, so launches start in placement order. Each
+	// launch holds its slot for the machine's per-task launch latency —
+	// the runtime-side, per-task overhead component.
+	launchFree             int
+	launchHead, launchTail *flight
+	// free recycles finished flights (under mu), so a unit's trip
+	// through the state machine allocates nothing in steady state.
+	free *flight
 
 	// passCount/passScanned/passPlaced instrument the scheduling passes
 	// (under mu): passes run, units yielded by the queue, units placed.
@@ -114,22 +103,16 @@ type agent struct {
 	// Fault-tolerance state (all under mu; recover also read via
 	// recovery()): recover, when installed (ResourceSet rebind opt-in),
 	// receives the units a pilot death or node loss displaces instead of
-	// failing them; inflight tracks running units with the allocation and
-	// rebind generation of their placement, so teardown can steal them;
+	// failing them; inflight maps running units to the flight of their
+	// placement (allocation and rebind generation), so teardown can steal
+	// them;
 	// down marks nodes lost to FaultNodeLoss — release drops their
 	// shares; quiesceEv, once armed by quiesce(), fires when no unit is
 	// running (the DrainPilot handshake).
 	recover   func([]*ComputeUnit)
-	inflight  map[*ComputeUnit]flightInfo
+	inflight  map[*ComputeUnit]*flight
 	down      map[int]bool
 	quiesceEv *vclock.Event
-}
-
-// flightInfo is one tracked in-flight unit: the allocation it holds and
-// the rebind generation captured at placement.
-type flightInfo struct {
-	alloc allocation
-	gen   int
 }
 
 // runInfo is a running unit's projected completion and core count.
@@ -138,24 +121,36 @@ type runInfo struct {
 	cores int
 }
 
-// launchReq is one placement decided by a pass, executed after unlock.
-// gen is the unit's rebind generation at placement time (-1 on agents
-// that do not track in-flight work): every effect the executor applies
-// is gated on it, so a unit stolen for rebinding mid-flight cannot be
-// double-settled by its stale executor.
-type launchReq struct {
+// flight is one placement's trip through the agent's state machine:
+// launch → input staging → execution → output staging → release. Every
+// step is a clock callback (Clock.AfterFunc) firing step — the flight's
+// one method value, bound when the flight is first allocated, so a step
+// allocates nothing — and phase says what the next firing does. gen is
+// the unit's rebind generation at placement (-1 on agents that do not
+// track in-flight work): every effect a step applies is gated on it,
+// so a unit stolen for rebinding mid-flight cannot be double-settled by
+// its stale flight.
+type flight struct {
+	a     *agent
 	u     *ComputeUnit
 	alloc allocation
 	gen   int
+	phase flightPhase
+	dir   int           // staging directive in progress
+	start time.Duration // exec start
+	step  func()        // f.fire
+	next  *flight       // launch FIFO / free-list link
 }
 
-// execSlot is one idle executor worker: a capacity-1 work channel (the
-// dispatcher must never block handing work to a parked worker) and the
-// free-list link. Allocated once per worker goroutine.
-type execSlot struct {
-	ch   chan launchReq
-	next *execSlot
-}
+// flightPhase is the step a flight's next callback performs.
+type flightPhase uint8
+
+const (
+	phLaunch   flightPhase = iota // launch latency elapsed
+	phStageIn                     // input directive dir elapsed
+	phExec                        // execution window elapsed
+	phStageOut                    // output directive dir elapsed
+)
 
 func newAgent(p *ComputePilot) *agent {
 	m := p.backend.machine
@@ -176,11 +171,11 @@ func newAgent(p *ComputePilot) *agent {
 		width = nNodes
 	}
 	a := &agent{
-		pilot:  p,
-		sess:   p.sess,
-		launch: vclock.NewSemaphore(p.sess.V, fmt.Sprintf("launcher pilot %d", p.ID), width),
-		sched:  newScheduler(nodes, p.sess.Cfg.Agent, p.sess.Cfg.Rescan),
-		pend:   newPendingQueue(p.sess.Cfg.PendingRef),
+		pilot:      p,
+		sess:       p.sess,
+		sched:      newScheduler(nodes, p.sess.Cfg.Agent, p.sess.Cfg.Rescan),
+		pend:       newPendingQueue(p.sess.Cfg.PendingRef),
+		launchFree: width,
 	}
 	if p.sess.Cfg.Agent == Backfill {
 		a.runEnds = make(map[*ComputeUnit]runInfo)
@@ -201,7 +196,7 @@ func (a *agent) setRecovery(fn func([]*ComputeUnit)) {
 	a.mu.Lock()
 	a.recover = fn
 	if a.inflight == nil {
-		a.inflight = make(map[*ComputeUnit]flightInfo)
+		a.inflight = make(map[*ComputeUnit]*flight)
 	}
 	a.mu.Unlock()
 }
@@ -241,8 +236,8 @@ func (a *agent) rejectStoppedBatch(us []*ComputeUnit) {
 func (a *agent) start() {
 	a.mu.Lock()
 	a.started = true
+	a.scheduleLocked()
 	a.mu.Unlock()
-	a.schedule()
 }
 
 // stop fails all queued units and refuses future work.
@@ -257,18 +252,8 @@ func (a *agent) stop(cause error) {
 	a.stopErr = cause
 	doomed := a.pend.drain()
 	a.mu.Unlock()
-	// Drain the idle executor pool: closing each slot releases its
-	// parked (clock-detached) worker goroutine. stoppedFlag is already
-	// set, so a worker racing onto the list exits before parking.
-	a.idleMu.Lock()
-	idle := a.idle
-	a.idle = nil
-	a.idleMu.Unlock()
-	for w := idle; w != nil; w = w.next {
-		close(w.ch)
-	}
 	// Real mode: reap every OS process still running for this pilot.
-	// Their executors' RunUnit calls return with the kill error and the
+	// Their flights' RunUnit calls return with the kill error and the
 	// units fail with the stop cause — no orphans outlive the agent.
 	if r := a.sess.Cfg.Runner; r != nil {
 		r.ReleasePilot(a.pilot.ID)
@@ -282,11 +267,11 @@ func (a *agent) stop(cause error) {
 // instead of failing the backlog it drains the pending queue (the
 // queue's own FIFO drain machinery) and steals the in-flight units,
 // returning both for the caller to rebind onto surviving pilots. A
-// stolen unit's stale executor keeps running — virtual sleeps cannot be
-// interrupted — but every subsequent effect is generation-gated
-// (unit.go), so it exits harmlessly at its next gate. In-flight units
-// are returned first (they are the oldest work), ordered by unit ID so
-// the map iteration cannot leak nondeterminism into the rebind order.
+// stolen unit's stale flight keeps its pending callback, but every
+// subsequent effect is generation-gated (unit.go), so it exits
+// harmlessly at its next gate. In-flight units are returned first (they
+// are the oldest work), ordered by unit ID so the map iteration cannot
+// leak nondeterminism into the rebind order.
 func (a *agent) stopWithReturn(cause error) []*ComputeUnit {
 	a.mu.Lock()
 	if a.stopped {
@@ -301,16 +286,9 @@ func (a *agent) stopWithReturn(cause error) []*ComputeUnit {
 	for u := range a.inflight {
 		running = append(running, u)
 	}
-	a.inflight = make(map[*ComputeUnit]flightInfo)
+	a.inflight = make(map[*ComputeUnit]*flight)
 	a.mu.Unlock()
-	a.idleMu.Lock()
-	idle := a.idle
-	a.idle = nil
-	a.idleMu.Unlock()
-	for w := idle; w != nil; w = w.next {
-		close(w.ch)
-	}
-	// Real mode: kill the stolen units' processes. The stale executors'
+	// Real mode: kill the stolen units' processes. The stale flights'
 	// RunUnit calls return, and every subsequent effect is generation-
 	// gated away — the rebound attempts own the units from here.
 	if r := a.sess.Cfg.Runner; r != nil {
@@ -438,7 +416,7 @@ func (a *agent) loseNodes(n int) []*ComputeUnit {
 // submit enqueues a unit. The unit must already be bound to this agent's
 // pilot. The QUEUED transition is recorded before the unit becomes
 // visible to the scheduler, so a pass can never execute it first; queue
-// insertion and the pass request then share one critical section.
+// insertion and the pass then share one critical section.
 func (a *agent) submit(u *ComputeUnit) {
 	if !a.admit(u) {
 		return
@@ -451,16 +429,8 @@ func (a *agent) submit(u *ComputeUnit) {
 		return
 	}
 	a.pend.push(u)
-	if !a.started {
-		a.mu.Unlock()
-		return
-	}
-	a.dirty = true
-	if a.inPass {
-		a.mu.Unlock()
-		return
-	}
-	a.runPasses() // unlocks
+	a.scheduleLocked()
+	a.mu.Unlock()
 }
 
 // admit applies the static submission checks shared by submit and
@@ -495,10 +465,10 @@ func (a *agent) admit(u *ComputeUnit) bool {
 // submitBatch enqueues one wave's worth of units bound to this pilot as
 // a single bulk submission: every unit is admitted and recorded QUEUED,
 // then the whole group joins the pending FIFO under one critical
-// section with one scheduling-pass request — instead of a lock
-// acquisition and pass attempt per unit. Placement outcomes are
-// identical to per-unit submission (passes are FIFO over pending), so
-// this is purely a client-side cost reduction.
+// section with one scheduling pass — instead of a lock acquisition and
+// pass attempt per unit. Placement outcomes are identical to per-unit
+// submission (passes are FIFO over pending), so this is purely a
+// client-side cost reduction.
 func (a *agent) submitBatch(us []*ComputeUnit) {
 	queued := us[:0:0]
 	for _, u := range us {
@@ -520,16 +490,8 @@ func (a *agent) submitBatch(us []*ComputeUnit) {
 	for _, u := range queued {
 		a.pend.push(u)
 	}
-	if !a.started {
-		a.mu.Unlock()
-		return
-	}
-	a.dirty = true
-	if a.inPass {
-		a.mu.Unlock()
-		return
-	}
-	a.runPasses() // unlocks
+	a.scheduleLocked()
+	a.mu.Unlock()
 }
 
 // cancelQueued removes a unit from the pending queue if still there —
@@ -569,19 +531,13 @@ func (a *agent) passStats() (passes, scanned, placed, queueWork uint64) {
 	return a.passCount, a.passScanned, a.passPlaced, a.pend.work()
 }
 
-// schedule requests a scheduling pass, coalescing with a running one.
-func (a *agent) schedule() {
-	a.mu.Lock()
-	if !a.started || a.stopped {
-		a.mu.Unlock()
-		return
+// scheduleLocked runs a scheduling pass if the agent is live. Caller
+// holds mu; the pass runs to completion under it, so no event can
+// interleave with a pass and nothing ever needs a second one.
+func (a *agent) scheduleLocked() {
+	if a.started && !a.stopped {
+		a.passLocked()
 	}
-	a.dirty = true
-	if a.inPass {
-		a.mu.Unlock()
-		return
-	}
-	a.runPasses() // unlocks
 }
 
 // utilSnapshot reads the utilization counters.
@@ -591,49 +547,37 @@ func (a *agent) utilSnapshot() UtilSnapshot {
 	return UtilSnapshot{Units: a.utilUnits, CoreBusy: a.utilBusy}
 }
 
-// release returns an allocation's cores and reschedules. The watermark
-// check makes completions O(1) when nothing pending can use the freed
-// capacity. When the triggered pass places units, the first placement is
-// handed back to the caller — a completing executor goroutine runs its
-// successor directly instead of spawning a fresh goroutine per unit.
-func (a *agent) release(lr launchReq) (launchReq, bool) {
+// complete ends a flight: its allocation's cores return to the
+// scheduler, the flight to the free list, and — unless the watermark
+// says nothing pending can use the freed capacity, the O(1) common case
+// on a saturated pilot — a pass places whatever now fits.
+func (a *agent) complete(f *flight) {
 	a.mu.Lock()
-	a.releaseAllocLocked(lr.alloc)
+	a.releaseAllocLocked(f.alloc)
 	a.running--
 	if a.runEnds != nil {
-		delete(a.runEnds, lr.u)
+		delete(a.runEnds, f.u)
 	}
 	if a.inflight != nil {
 		// Only the entry of this very placement: the unit may already be
 		// re-placed here under a newer generation.
-		if fi, ok := a.inflight[lr.u]; ok && fi.gen == lr.gen {
-			delete(a.inflight, lr.u)
+		if a.inflight[f.u] == f {
+			delete(a.inflight, f.u)
 		}
 	}
 	var quiesce *vclock.Event
 	if a.running == 0 && a.quiesceEv != nil {
 		quiesce = a.quiesceEv
 	}
-	if !a.started || a.stopped || a.pend.size() == 0 || !a.fitPossible() {
-		a.mu.Unlock()
-		if quiesce != nil {
-			quiesce.Fire()
-		}
-		return launchReq{}, false
+	*f = flight{a: a, step: f.step, next: a.free}
+	a.free = f
+	if a.pend.size() > 0 && a.fitPossible() {
+		a.scheduleLocked()
 	}
-	a.dirty = true
-	if a.inPass {
-		a.mu.Unlock()
-		if quiesce != nil {
-			quiesce.Fire()
-		}
-		return launchReq{}, false
-	}
-	next, ok := a.runPassesTakeOne() // unlocks
+	a.mu.Unlock()
 	if quiesce != nil {
 		quiesce.Fire()
 	}
-	return next, ok
 }
 
 // releaseAllocLocked returns an allocation's cores to the scheduler,
@@ -660,103 +604,16 @@ func (a *agent) releaseAllocLocked(alloc allocation) {
 	}
 }
 
-// runPasses drains the dirty flag: it runs scheduling passes until no new
-// event arrived during the last one, then releases mu. Caller holds mu
-// with inPass false and dirty true.
-func (a *agent) runPasses() {
-	if lr, ok := a.runPassesTakeOne(); ok {
-		a.spawnExec(lr)
-	}
-}
-
-// spawnExec starts lr on an executor: an idle pooled worker when one is
-// parked, else a fresh goroutine. The worker is attached to the clock
-// before the handoff so the engine cannot advance past the pending work.
-func (a *agent) spawnExec(lr launchReq) {
-	a.idleMu.Lock()
-	w := a.idle
-	if w != nil {
-		a.idle = w.next
-	}
-	a.idleMu.Unlock()
-	if w != nil {
-		a.sess.V.Attach()
-		w.ch <- lr // never blocks: cap 1, worker is parked empty
-		return
-	}
-	a.sess.V.Go(func() { a.executorLoop(lr) })
-}
-
-// executorLoop is the body of one executor worker goroutine: run chains
-// (execute), and between chains park detached on the idle list until the
-// next wave dispatches work or stop drains the pool.
-func (a *agent) executorLoop(lr launchReq) {
-	var slot *execSlot
-	for {
-		a.execute(lr)
-		// Chain dry: park as an idle worker, invisible to the clock.
-		if slot == nil {
-			slot = &execSlot{ch: make(chan launchReq, 1)}
-		}
-		a.idleMu.Lock()
-		if a.stoppedFlag.Load() {
-			a.idleMu.Unlock()
-			return // still attached; Go's deregister balances
-		}
-		slot.next = a.idle
-		a.idle = slot
-		a.idleMu.Unlock()
-		a.sess.V.Detach()
-		next, ok := <-slot.ch
-		if !ok {
-			// Drained by stop: rejoin the clock so the enclosing Go
-			// wrapper's deregister stays balanced, then exit.
-			a.sess.V.Attach()
-			return
-		}
-		lr = next
-	}
-}
-
-// runPassesTakeOne is runPasses, but the first placement of the pass
-// cascade is returned to the caller instead of spawned. Caller holds mu
-// with inPass false and dirty true; the mutex is released on return.
-func (a *agent) runPassesTakeOne() (launchReq, bool) {
-	var first launchReq
-	var haveFirst bool
-	a.inPass = true
-	for a.dirty && a.started && !a.stopped {
-		a.dirty = false
-		launches := a.passLocked()
-		if len(launches) == 0 {
-			continue
-		}
-		a.mu.Unlock()
-		for _, lr := range launches {
-			if !haveFirst {
-				first, haveFirst = lr, true
-				continue
-			}
-			a.spawnExec(lr)
-		}
-		a.mu.Lock()
-	}
-	a.inPass = false
-	a.mu.Unlock()
-	return first, haveFirst
-}
-
 // passLocked performs one continuous-scheduling pass over the pending
-// queue, returning the placements decided. Caller holds mu for the
-// whole pass (so the queue's pass cursors see no interleaved mutation);
-// the returned slice is agent-owned scratch, valid until the next pass.
-func (a *agent) passLocked() []launchReq {
+// queue, launching each placement it decides in placement order. Caller
+// holds mu for the whole pass (so the queue's pass cursors see no
+// interleaved mutation).
+func (a *agent) passLocked() {
 	if a.sched.freeCores() == 0 {
 		// Saturated: nothing can be placed, leave the queue untouched.
 		// (Never-placeable units cannot be in it: submit rejects them.)
-		return nil
+		return
 	}
-	launches := a.scratch[:0]
 	m := a.pilot.backend.machine
 	backfill := a.sess.Cfg.Agent == Backfill
 
@@ -840,22 +697,71 @@ func (a *agent) passLocked() []launchReq {
 		g := -1
 		if a.inflight != nil {
 			g = u.generation()
-			a.inflight[u] = flightInfo{alloc: alloc, gen: g}
 		}
-		launches = append(launches, launchReq{u, alloc, g})
+		f := a.newFlightLocked(u, alloc, g)
+		if a.inflight != nil {
+			a.inflight[u] = f
+		}
+		a.launchLocked(f)
+		a.passPlaced++
 		q.placed()
 	}
 	q.endPass()
-	a.passPlaced += uint64(len(launches))
-	a.scratch = launches
-	return launches
+}
+
+// newFlightLocked takes a flight off the free list (or allocates one,
+// binding its step once) for a fresh placement. Caller holds mu.
+func (a *agent) newFlightLocked(u *ComputeUnit, alloc allocation, gen int) *flight {
+	f := a.free
+	if f != nil {
+		a.free = f.next
+		f.next = nil
+	} else {
+		f = &flight{a: a}
+		f.step = f.fire
+	}
+	f.u, f.alloc, f.gen = u, alloc, gen
+	return f
+}
+
+// launchLocked starts f's launch on an idle launcher slot, or queues it
+// behind the launches already waiting. Caller holds mu.
+func (a *agent) launchLocked(f *flight) {
+	if a.launchFree == 0 {
+		if a.launchTail == nil {
+			a.launchHead = f
+		} else {
+			a.launchTail.next = f
+		}
+		a.launchTail = f
+		return
+	}
+	a.launchFree--
+	a.sess.V.AfterFunc(a.pilot.backend.machine.TaskLaunchLatency, f.step)
+}
+
+// launchDone frees a finished launch's slot: the oldest waiting launch
+// takes it over at once, or it goes back to the idle count.
+func (a *agent) launchDone() {
+	a.mu.Lock()
+	if f := a.launchHead; f != nil {
+		a.launchHead = f.next
+		if a.launchHead == nil {
+			a.launchTail = nil
+		}
+		f.next = nil
+		a.sess.V.AfterFunc(a.pilot.backend.machine.TaskLaunchLatency, f.step)
+	} else {
+		a.launchFree++
+	}
+	a.mu.Unlock()
 }
 
 // predictLocked estimates a unit's execution duration via the cost model
-// (the same call executeUnit will make). Used by the Backfill policy;
-// staging and launcher queueing are not modelled — the reservation is a
-// scheduling heuristic, exactly as walltime-based EASY backfill is at the
-// batch layer.
+// (the same call the flight's exec step will make). Used by the Backfill
+// policy; staging and launcher queueing are not modelled — the
+// reservation is a scheduling heuristic, exactly as walltime-based EASY
+// backfill is at the batch layer.
 func (a *agent) predictLocked(u *ComputeUnit) (time.Duration, error) {
 	return a.sess.Cost.Duration(u.Desc.Kernel, u.Desc.Params, u.Desc.Cores, a.pilot.backend.machine)
 }
@@ -885,83 +791,111 @@ func (a *agent) reservationLocked(headNeed int) (shadow time.Duration, extra int
 	return 0, -1
 }
 
-// execute is an executor goroutine: it runs the launched unit's
-// lifecycle, releases its allocation, and — when the release's pass hands
-// one back — continues directly with a successor unit, so a saturated
-// pilot reuses one goroutine per core chain instead of spawning one per
-// unit. The chain is also what feeds the vclock engine's direct-handoff
-// fast path: the successor's launcher Acquire and first Sleep issue from
-// an already-running process, so same-instant block→wake pairs (launcher
-// release racing the next acquire) resolve by token handoff instead of a
-// park/unpark round trip through the Go scheduler.
-func (a *agent) execute(lr launchReq) {
-	for {
-		a.executeUnit(lr)
-		next, ok := a.release(lr)
-		if !ok {
-			return
-		}
-		lr = next
+// fire is every flight callback: it performs the step phase names, and
+// releases the flight once a step reports it has nothing left to wait
+// for (the unit settled, or the flight went stale).
+func (f *flight) fire() {
+	var live bool
+	switch f.phase {
+	case phLaunch:
+		f.a.launchDone()
+		live = f.launched()
+	case phExec:
+		live = f.executed(nil)
+	default: // a staging directive elapsed
+		f.a.pilot.backend.mover.Done(f.directives()[f.dir])
+		f.dir++
+		live = f.stage()
+	}
+	if !live {
+		f.a.complete(f)
 	}
 }
 
-// executeUnit runs one unit's full lifecycle on its allocation: launch,
-// staging-in, execution (virtual sleep of the cost-model duration plus the
-// optional real Work), staging-out. The caller releases the allocation.
-// Every effect is gated on lr.gen: when the unit was stolen for rebinding
-// mid-flight, this (now stale) executor's transitions, profiler records,
-// utilization bumps, and finish are all discarded — the rebound run owns
-// them. lr.gen is -1 (no gating) on agents without in-flight tracking.
-func (a *agent) executeUnit(lr launchReq) {
-	u := lr.u
-	v := a.sess.V
-	m := a.pilot.backend.machine
-	prof := a.sess.Prof
-	vocab := &a.sess.vocab
-
-	// Launch: bounded concurrency, per-task latency.
-	a.launch.Acquire(1)
-	v.Sleep(m.TaskLaunchLatency)
-	a.launch.Release(1)
+// launched runs once the launch latency has elapsed: input staging when
+// the unit has any, else straight to execution. Like every step it
+// reports whether a further callback is pending.
+func (f *flight) launched() bool {
+	a, u := f.a, f.u
 	if a.isStopped() {
-		u.finishFrom(lr.gen, UnitFailed, a.stopCause())
-		return
+		u.finishFrom(f.gen, UnitFailed, a.stopCause())
+		return false
 	}
-
-	// Input staging.
-	if len(u.Desc.InputStaging) > 0 {
-		if !u.setStateFrom(lr.gen, UnitStagingInput) {
-			return
-		}
-		prof.RecordID(u.entityID, vocab.evStageinStart)
-		if _, err := a.pilot.backend.mover.Run(u.Desc.InputStaging); err != nil {
-			u.finishFrom(lr.gen, UnitFailed, fmt.Errorf("input staging: %w", err))
-			return
-		}
-		if u.staleGen(lr.gen) {
-			return
-		}
-		prof.RecordID(u.entityID, vocab.evStageinStop)
+	if len(u.Desc.InputStaging) == 0 {
+		return f.exec()
 	}
+	if !u.setStateFrom(f.gen, UnitStagingInput) {
+		return false
+	}
+	a.sess.Prof.RecordID(u.entityID, a.sess.vocab.evStageinStart)
+	f.phase, f.dir = phStageIn, 0
+	return f.stage()
+}
 
-	// Execution.
-	dur, err := a.sess.Cost.Duration(u.Desc.Kernel, u.Desc.Params, u.Desc.Cores, m)
+// directives returns the staging list the current phase walks.
+func (f *flight) directives() []Directive {
+	if f.phase == phStageOut {
+		return f.u.Desc.OutputStaging
+	}
+	return f.u.Desc.InputStaging
+}
+
+// stage starts staging directive f.dir, one callback per directive
+// (through the mover's non-sleeping step); past the last one it closes
+// the staging phase and moves on.
+func (f *flight) stage() bool {
+	a, u := f.a, f.u
+	vocab := &a.sess.vocab
+	if dirs := f.directives(); f.dir < len(dirs) {
+		c, err := a.pilot.backend.mover.Begin(dirs[f.dir])
+		if err != nil {
+			what := "input"
+			if f.phase == phStageOut {
+				what = "output"
+			}
+			u.finishFrom(f.gen, UnitFailed, fmt.Errorf("%s staging: %w", what, err))
+			return false
+		}
+		a.sess.V.AfterFunc(c, f.step)
+		return true
+	}
+	if u.staleGen(f.gen) {
+		return false
+	}
+	if f.phase == phStageIn {
+		a.sess.Prof.RecordID(u.entityID, vocab.evStageinStop)
+		return f.exec()
+	}
+	a.sess.Prof.RecordID(u.entityID, vocab.evStageoutStop)
+	u.finishFrom(f.gen, UnitDone, nil)
+	return false
+}
+
+// exec opens the execution window: the cost-model duration as one
+// callback in simulation, or — in real mode, where the runner blocks for
+// as long as the unit really takes (an OS process, or a wall sleep of
+// the modelled duration for kernels without a command) — one goroutine
+// per running unit that finishes through the same executed step.
+func (f *flight) exec() bool {
+	a, u := f.a, f.u
+	dur, err := a.sess.Cost.Duration(u.Desc.Kernel, u.Desc.Params, u.Desc.Cores, a.pilot.backend.machine)
 	if err != nil {
-		u.finishFrom(lr.gen, UnitFailed, err)
-		return
+		u.finishFrom(f.gen, UnitFailed, err)
+		return false
 	}
-	if !u.setStateFrom(lr.gen, UnitExecuting) {
-		return
+	if !u.setStateFrom(f.gen, UnitExecuting) {
+		return false
 	}
-	start := v.Now()
-	prof.RecordID(u.entityID, vocab.evExecStart)
-	var execErr error
-	if r := a.sess.Cfg.Runner; r != nil {
-		// Real mode: the runner blocks for as long as the unit really
-		// takes (an OS process, or a wall sleep of the modelled duration
-		// for kernels without a command). The window is still bracketed
-		// by the same records and accounting as the simulated path.
-		execErr = r.RunUnit(ExecRequest{
+	f.start = a.sess.V.Now()
+	a.sess.Prof.RecordID(u.entityID, a.sess.vocab.evExecStart)
+	f.phase = phExec
+	r := a.sess.Cfg.Runner
+	if r == nil {
+		a.sess.V.AfterFunc(dur, f.step)
+		return true
+	}
+	a.sess.V.Go(func() {
+		err := r.RunUnit(ExecRequest{
 			PilotID:    a.pilot.ID,
 			PilotCores: a.pilot.Desc.Cores,
 			Unit:       u.Desc.Name,
@@ -973,59 +907,58 @@ func (a *agent) executeUnit(lr launchReq) {
 			Cores:      u.Desc.Cores,
 			Model:      dur,
 		})
-	} else {
-		v.Sleep(dur)
+		if !f.executed(err) {
+			a.complete(f)
+		}
+	})
+	return true
+}
+
+// executed closes the execution window — bracketed by the same records
+// and accounting in both modes — then settles the unit or starts its
+// output staging.
+func (f *flight) executed(execErr error) bool {
+	a, u := f.a, f.u
+	stop := a.sess.V.Now()
+	if !u.markExecFrom(f.gen, f.start, stop) {
+		return false
 	}
-	stop := v.Now()
-	if !u.markExecFrom(lr.gen, start, stop) {
-		return
-	}
-	prof.RecordID(u.entityID, vocab.evExecStop)
+	a.sess.Prof.RecordID(u.entityID, a.sess.vocab.evExecStop)
 	// Utilization counters are bumped before the unit can turn final, so
 	// a snapshot taken when a campaign's last unit settles cannot miss
 	// its execution.
 	a.mu.Lock()
 	a.utilUnits++
-	a.utilBusy += (stop - start) * time.Duration(u.Desc.Cores)
+	a.utilBusy += (stop - f.start) * time.Duration(u.Desc.Cores)
 	a.mu.Unlock()
 
-	if execErr != nil {
-		u.finishFrom(lr.gen, UnitFailed, fmt.Errorf("unit %q exec: %w", u.Desc.Name, execErr))
-		return
-	}
-	if u.Desc.FailOn != nil && u.Desc.FailOn(u.Desc.Attempt) {
-		u.finishFrom(lr.gen, UnitFailed, fmt.Errorf("unit %q failed (injected, attempt %d)",
-			u.Desc.Name, u.Desc.Attempt))
-		return
-	}
-	if a.isStopped() {
-		u.finishFrom(lr.gen, UnitFailed, a.stopCause())
-		return
-	}
-	if u.Desc.Work != nil {
-		if err := u.Desc.Work(); err != nil {
-			u.finishFrom(lr.gen, UnitFailed, fmt.Errorf("unit %q work: %w", u.Desc.Name, err))
-			return
+	var err error
+	switch {
+	case execErr != nil:
+		err = fmt.Errorf("unit %q exec: %w", u.Desc.Name, execErr)
+	case u.Desc.FailOn != nil && u.Desc.FailOn(u.Desc.Attempt):
+		err = fmt.Errorf("unit %q failed (injected, attempt %d)", u.Desc.Name, u.Desc.Attempt)
+	case a.isStopped():
+		err = a.stopCause()
+	case u.Desc.Work != nil:
+		if werr := u.Desc.Work(); werr != nil {
+			err = fmt.Errorf("unit %q work: %w", u.Desc.Name, werr)
 		}
 	}
-
-	// Output staging.
-	if len(u.Desc.OutputStaging) > 0 {
-		if !u.setStateFrom(lr.gen, UnitStagingOutput) {
-			return
-		}
-		prof.RecordID(u.entityID, vocab.evStageoutStart)
-		if _, err := a.pilot.backend.mover.Run(u.Desc.OutputStaging); err != nil {
-			u.finishFrom(lr.gen, UnitFailed, fmt.Errorf("output staging: %w", err))
-			return
-		}
-		if u.staleGen(lr.gen) {
-			return
-		}
-		prof.RecordID(u.entityID, vocab.evStageoutStop)
+	if err != nil {
+		u.finishFrom(f.gen, UnitFailed, err)
+		return false
 	}
-
-	u.finishFrom(lr.gen, UnitDone, nil)
+	if len(u.Desc.OutputStaging) == 0 {
+		u.finishFrom(f.gen, UnitDone, nil)
+		return false
+	}
+	if !u.setStateFrom(f.gen, UnitStagingOutput) {
+		return false
+	}
+	a.sess.Prof.RecordID(u.entityID, a.sess.vocab.evStageoutStart)
+	f.phase, f.dir = phStageOut, 0
+	return f.stage()
 }
 
 func (a *agent) isStopped() bool {

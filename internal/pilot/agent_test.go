@@ -1,6 +1,7 @@
 package pilot
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -192,4 +193,51 @@ func TestAgentContinuousSchedulingSkipsBlockedHead(t *testing.T) {
 		}
 		p.Cancel()
 	})
+}
+
+// TestLaunchSlotsFillInPlacementOrder is the launcher's property: N
+// units placed at one instant t on a launcher of width w start
+// executing at t + ceil(k/w)*latency, k = 1..N in placement order —
+// the first w launch at once, and each finished launch hands its slot
+// to the oldest waiting one. The units are queued while the pilot is
+// still pending, so its activation pass places all of them at once.
+func TestLaunchSlotsFillInPlacementOrder(t *testing.T) {
+	for _, w := range []int{1, 2, 3, 5, 8} {
+		for _, n := range []int{1, 5, 12, 32} {
+			v := vclock.NewVirtual()
+			s := testSession(t, v)
+			s.Cfg.LauncherWidth = w
+			latency := 10 * time.Millisecond // test.pilot's TaskLaunchLatency
+			v.Run(func() {
+				pm := NewPilotManager(s)
+				p, err := pm.Submit(PilotDescription{Resource: "test.pilot", Cores: 32, Walltime: 10 * time.Hour})
+				if err != nil {
+					t.Fatal(err)
+				}
+				um := NewUnitManager(s)
+				um.AddPilot(p)
+				descs := make([]UnitDescription, n)
+				for i := range descs {
+					descs[i] = sleepUnit(fmt.Sprintf("k%02d", i+1), 1)
+				}
+				units, err := um.Submit(descs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.WaitActive()
+				placed := v.Now()
+				um.WaitAll(units)
+				for i, u := range units {
+					k := i + 1
+					start, _, ok := u.ExecWindow()
+					want := placed + time.Duration((k+w-1)/w)*latency
+					if !ok || start != want {
+						t.Errorf("w=%d n=%d: unit %d of %d exec_start %v, want t+%v = %v",
+							w, n, k, n, start, want-placed, want)
+					}
+				}
+				p.Cancel()
+			})
+		}
+	}
 }

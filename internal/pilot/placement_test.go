@@ -52,6 +52,10 @@ func placementFixture(t *testing.T) []*ComputePilot {
 			}
 			pilots = append(pilots, p)
 		}
+		// Freeze the clock at the submission instant: the pilots stay
+		// pending while the tests inspect them, instead of racing
+		// through activation and walltime expiry in the background.
+		v.Attach()
 	})
 	if len(pilots) != 3 {
 		t.Fatal("fixture pilots missing")

@@ -12,8 +12,9 @@ package serve
 
 import "sync"
 
-// job is one admitted-but-not-started campaign launch. run must call
-// release exactly once when the campaign settles.
+// job is one admitted-but-not-started campaign launch. run must not
+// block (start calls it inline) and must call release exactly once
+// when the campaign settles.
 type job struct {
 	tenant string
 	run    func(release func())
@@ -83,12 +84,17 @@ func (a *admission) release(tenant string) {
 	a.start(starts)
 }
 
+// start launches admitted jobs inline, in dispatch order. A job's run
+// only registers its campaign with a pool and returns, so when a settle
+// frees the slot, the next campaign joins the pool's clock from inside
+// the settling campaign's still-registered process — before that clock
+// can advance — instead of racing it from another goroutine.
 func (a *admission) start(jobs []*job) {
 	for _, j := range jobs {
 		j := j
 		released := false
 		var once sync.Mutex
-		go j.run(func() {
+		j.run(func() {
 			once.Lock()
 			done := released
 			released = true

@@ -1,8 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
+
+	"entk/internal/campaign"
 )
 
 // smallCampaign is a one-pilot graph campaign small enough to run in
@@ -102,5 +107,62 @@ func TestFairShareThreeTenants(t *testing.T) {
 			t.Errorf("tenant %s completed %s after %s (per-tenant FIFO broken)", tn, id, prev)
 		}
 		last[tn] = id
+	}
+}
+
+// TestFairShareRoundsDeterministic pins what inline admission buys:
+// with one slot per tenant, every campaign after the first round is
+// launched from inside the settling campaign's simulation process, so
+// it joins the pool's clock at the settle instant whatever the Go
+// scheduler does. Rounds two and three therefore run three identical
+// campaigns side by side from one instant, and all six report the same
+// virtual TTC at any GOMAXPROCS. The first round is the test's own
+// business: the pool's clock is held while the test submits, so the
+// three first-round campaigns also start together.
+func TestFairShareRoundsDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	spec, err := campaign.Parse(bytes.NewReader(smallCampaign("a", 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want time.Duration
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		o, err := New(Options{TenantCap: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hold := o.poolFor(spec).v // every smallCampaign lands on this pool
+		hold.Attach()
+		var later []string // round-2 and round-3 campaign ids
+		for _, tn := range []string{"a", "b", "c"} {
+			for i := 0; i < 3; i++ {
+				st, err := o.Submit(tn, smallCampaign(tn, i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i > 0 {
+					later = append(later, st.ID)
+				}
+			}
+		}
+		hold.Detach()
+		for _, id := range later {
+			if err := o.Wait(id); err != nil {
+				t.Fatal(err)
+			}
+			doc, err := o.Report(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ttc := doc.Campaign.Campaign.TTC
+			if want == 0 {
+				want = ttc
+			}
+			if ttc != want {
+				t.Errorf("GOMAXPROCS=%d: campaign %s (%s) TTC %v, want %v like every later-round campaign",
+					procs, id, doc.Tenant, ttc, want)
+			}
+		}
 	}
 }

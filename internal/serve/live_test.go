@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"entk"
+	"entk/internal/campaign"
 	"entk/internal/profile"
 	"entk/internal/vclock"
 )
@@ -176,5 +177,65 @@ func TestLiveEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown id: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestCheckpointWhilePilotsQueued holds the window between a graph
+// campaign's launch and its pilot turning active open for as long as the
+// test likes: a helper process on the pool's clock sleeps to 30 s —
+// after the 1 s toolkit bootstrap, inside xsede.comet's ~60 s batch-queue
+// wait — and then blocks outside the clock's primitives, which freezes
+// virtual time there. A checkpoint taken in that window must already
+// hold the campaign's pipeline, and the campaign must still finish once
+// the clock is released.
+func TestCheckpointWhilePilotsQueued(t *testing.T) {
+	o, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := smallCampaign("q", 0)
+	spec, err := campaign.Parse(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const holdAt = 30 * time.Second
+	v := o.poolFor(spec).v
+	release := make(chan struct{})
+	v.Attach() // keep t=0 until the campaign has joined the clock
+	v.Go(func() {
+		v.Sleep(holdAt)
+		<-release
+	})
+	st, err := o.Submit("q", raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.Detach()
+	var buf bytes.Buffer
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		buf.Reset()
+		err := o.CheckpointTo(st.ID, &buf)
+		if err == nil {
+			break
+		}
+		if err != ErrNotRunning || time.Now().After(deadline) {
+			t.Fatalf("checkpoint while queued: %v", err)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	cp, err := entk.LoadCheckpoint(bytes.NewReader(buf.Bytes()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pc := cp.Pipeline("q0"); pc == nil || pc.SettledStages != 0 {
+		t.Fatalf("checkpoint while queued holds %+v, want pipeline q0 with nothing settled", cp.Pipelines)
+	}
+	close(release)
+	if err := o.Wait(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := o.Status(st.ID); st.State != StateDone {
+		t.Fatalf("campaign state %s after release, want done", st.State)
 	}
 }

@@ -205,24 +205,30 @@ func (o *Orchestrator) launch(h *handle, release func()) {
 			o.settle(h, nil, err, release)
 			return
 		}
+		var am *entk.AppManager
+		var pls []*entk.Pipeline
+		if h.spec.Pattern == nil {
+			// The tracker is filled before the manager is published, so a
+			// checkpoint taken while the pilots are still queued already
+			// holds every pipeline.
+			pls = h.spec.GraphPipelines()
+			am = entk.NewAppManager(rs)
+			am.Track(h.resume, pls...)
+		}
 		h.mu.Lock()
 		h.rs = rs
-		var am *entk.AppManager
-		if h.spec.Pattern == nil {
-			am = entk.NewAppManager(rs)
-			h.am = am
-		}
+		h.am = am
 		h.mu.Unlock()
 
 		res := &campaign.Result{Prof: rs.Session().Prof}
 		var runErr error
 		switch {
 		case h.resume != nil:
-			res.Campaign, runErr = am.Resume(h.resume, h.spec.GraphPipelines()...)
+			res.Campaign, runErr = am.Resume(h.resume, pls...)
 		case h.spec.Pattern != nil:
 			res.Report, runErr = rs.Run(h.spec.LegacyPattern())
 		default:
-			res.Campaign, runErr = am.Run(h.spec.GraphPipelines()...)
+			res.Campaign, runErr = am.Run(pls...)
 		}
 		o.settle(h, res, runErr, release)
 	})

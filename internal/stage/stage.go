@@ -133,23 +133,40 @@ func (m *Mover) Cost(d Directive) time.Duration {
 func (m *Mover) Run(dirs []Directive) (time.Duration, error) {
 	var total time.Duration
 	for _, d := range dirs {
-		if err := d.Validate(); err != nil {
+		c, err := m.Begin(d)
+		if err != nil {
 			return total, err
 		}
-		c := m.Cost(d)
 		m.v.Sleep(c)
 		total += c
-		if m.prof != nil && d.Op >= Upload && d.Op <= Download {
-			m.prof.RecordID(m.entity, m.opNames[d.Op])
-		}
-		m.mu.Lock()
-		m.ops++
-		if d.Op != Link {
-			m.transferred += d.SizeMB
-		}
-		m.mu.Unlock()
+		m.Done(d)
 	}
 	return total, nil
+}
+
+// Begin is the first half of one non-sleeping staging step: it validates
+// d and returns its modelled cost. The caller waits out the cost on its
+// own terms (a Sleep, or a clock callback) and then calls Done, so a
+// stager that must not block can run directives one timer at a time.
+func (m *Mover) Begin(d Directive) (time.Duration, error) {
+	if err := d.Validate(); err != nil {
+		return 0, err
+	}
+	return m.Cost(d), nil
+}
+
+// Done completes a directive started with Begin once its cost has
+// elapsed: the op's profiler record and the mover's accounting.
+func (m *Mover) Done(d Directive) {
+	if m.prof != nil && d.Op >= Upload && d.Op <= Download {
+		m.prof.RecordID(m.entity, m.opNames[d.Op])
+	}
+	m.mu.Lock()
+	m.ops++
+	if d.Op != Link {
+		m.transferred += d.SizeMB
+	}
+	m.mu.Unlock()
 }
 
 // Stats reports cumulative operations and megabytes moved.

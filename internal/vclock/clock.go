@@ -44,6 +44,13 @@ type Clock interface {
 	// After schedules fn to run at instant Now()+d as its own process —
 	// the timer primitive behind fault arming and deadlines.
 	After(d time.Duration, fn func())
+	// AfterFunc schedules fn to run at instant Now()+d as a callback, not
+	// a process: on the virtual engines fn runs inline on the advance
+	// loop, in timer order (deadline, then registration sequence),
+	// holding a runnable token, so it must not block; on the wall clock
+	// it runs on its own goroutine, like time.AfterFunc. d <= 0 means
+	// the current instant (see Virtual.AfterFunc).
+	AfterFunc(d time.Duration, fn func())
 	// Attach counts a process back into the runnable accounting.
 	Attach()
 	// Detach removes the calling process from the runnable accounting.

@@ -69,6 +69,8 @@ type engine interface {
 	now() time.Duration
 	// sleep suspends the calling process for d of virtual time.
 	sleep(d time.Duration)
+	// afterFunc files fn as a timer callback at now()+max(d, 0).
+	afterFunc(d time.Duration, fn func())
 	// register counts a new runnable process (Go/Run entry).
 	register()
 	// deregister removes an exiting process and may advance the clock.
@@ -163,6 +165,23 @@ func (v *Virtual) After(d time.Duration, fn func()) {
 	})
 }
 
+// AfterFunc schedules fn as a timer callback at virtual instant
+// Now()+d. Unlike After it spawns no process: the engine's advance loop
+// runs fn inline when the clock reaches the instant, interleaved with
+// that instant's Sleep wakeups in timer order — deadline, then
+// registration sequence — and holding a runnable token while it runs,
+// so the clock cannot move on until fn returns. fn therefore must not
+// block (no Sleep, Wait, Acquire, ...); it may schedule further
+// callbacks, spawn processes with Go, and wake parked processes (fire
+// events, release semaphores). Callbacks do not count as processes: a
+// simulation whose only pending work is callbacks keeps advancing, and
+// a pending callback is a pending timer for deadlock detection.
+//
+// d <= 0 schedules fn at the current instant: it never runs inline
+// inside AfterFunc, but once every runnable process has blocked, after
+// the timers already pending at this instant.
+func (v *Virtual) AfterFunc(d time.Duration, fn func()) { v.eng.afterFunc(d, fn) }
+
 // Detach removes the calling process from the runnable accounting, as if
 // it had exited. It exists for worker pools that keep goroutines alive
 // between simulated tasks: a detached goroutine is invisible to the
@@ -192,6 +211,8 @@ type descSource interface {
 // (the reference engine parks and wakes through the channel only). item,
 // ok, and n are scratch owned by the primitive that published the waiter:
 // the waker writes them before wake, the parker reads them after park.
+// A waiter with fn set is a timer callback (AfterFunc), not a parked
+// process: the advance loop calls fn instead of signalling ch.
 type waiter struct {
 	ch    chan struct{}
 	state atomic.Int32
@@ -200,6 +221,7 @@ type waiter struct {
 	aux   int         // semaphore: availability snapshot for the report
 	item  interface{} // queue: handed-off element
 	ok    bool        // queue: false when released by Close
+	fn    func()      // AfterFunc callback (timer node only)
 
 	// Timer-wheel fields (handoff engine sleeps only): the waiter doubles
 	// as the intrusive wheel node, so the sleep path allocates nothing.
@@ -237,6 +259,7 @@ func putWaiter(w *waiter) {
 	w.aux = 0
 	w.item = nil
 	w.ok = false
+	w.fn = nil
 	w.tnext = nil
 	waiterPool.Put(w)
 }

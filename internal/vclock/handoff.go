@@ -126,6 +126,20 @@ func (e *handoffEngine) sleep(d time.Duration) {
 	putWaiter(w)
 }
 
+func (e *handoffEngine) afterFunc(d time.Duration, fn func()) {
+	if d < 0 {
+		d = 0
+	}
+	w := getWaiter()
+	w.fn = fn
+	e.timerMu.Lock()
+	w.deadline = e.nowAtomic.Load() + int64(d)
+	e.seq++
+	w.tseq = e.seq
+	e.wh.push(w)
+	e.timerMu.Unlock()
+}
+
 // advance jumps virtual time to the earliest pending deadline and wakes
 // its sleepers, batch by batch, while no process is runnable. It runs on
 // whichever process took the runnable count to zero; timerMu serialises
@@ -156,12 +170,42 @@ func (e *handoffEngine) advance() {
 		}
 		e.nowAtomic.Store(deadline)
 		// Every sleeper in the batch is fully parked (see above), so the
-		// batch is credited with one atomic add and signalled directly.
-		e.runnable.Add(int64(len(batch)))
+		// sleepers are credited with one atomic add and signalled
+		// directly. A batch holding callbacks also takes one token for
+		// the callbacks, which then run in timer order with timerMu
+		// released (they may file further timers); nobody else can
+		// advance while the token is held.
+		sleepers := 0
 		for _, w := range batch {
-			w.ch <- struct{}{} // never blocks: cap 1, one sleeper
+			if w.fn == nil {
+				sleepers++
+			}
 		}
+		if sleepers == len(batch) {
+			e.runnable.Add(int64(sleepers))
+			for _, w := range batch {
+				w.ch <- struct{}{} // never blocks: cap 1, one sleeper
+			}
+			e.fireBuf = batch[:0]
+			continue
+		}
+		e.fireBuf = nil // the batch stays ours while the lock is dropped
+		e.runnable.Add(int64(sleepers) + 1)
+		e.timerMu.Unlock()
+		for i, w := range batch {
+			batch[i] = nil
+			if fn := w.fn; fn != nil {
+				putWaiter(w)
+				fn()
+			} else {
+				w.ch <- struct{}{}
+			}
+		}
+		e.timerMu.Lock()
 		e.fireBuf = batch[:0]
+		if e.runnable.Add(-1) < 0 {
+			panic(underflowPanic)
+		}
 	}
 	e.timerMu.Unlock()
 }

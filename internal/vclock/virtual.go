@@ -28,6 +28,9 @@ type refEngine struct {
 	// descSources so the (rare) deadlock report pays for formatting, not
 	// every block on the hot path.
 	blocked map[*waiter]descSource
+	// fireBuf is the advance loop's reusable batch of same-deadline
+	// timers.
+	fireBuf []*timer
 	// dead marks the clock as having detected a deadlock; all further
 	// accounting becomes a no-op so the panic can unwind (and deferred
 	// exits can run) without corrupting or re-locking the engine.
@@ -64,6 +67,19 @@ func (v *refEngine) sleep(d time.Duration) {
 	v.mu.Unlock()
 	<-t.ch
 	timerPool.Put(t)
+}
+
+func (v *refEngine) afterFunc(d time.Duration, fn func()) {
+	if d < 0 {
+		d = 0
+	}
+	t := timerPool.Get().(*timer)
+	t.fn = fn
+	v.mu.Lock()
+	t.deadline = v.cur + d
+	t.seq = v.nextSeq()
+	v.timers.push(t)
+	v.mu.Unlock()
 }
 
 func (v *refEngine) register() {
@@ -132,6 +148,9 @@ func (v *refEngine) becomeBlocked() {
 // fires every timer sharing that deadline. Caller holds mu, and the
 // runnable count is zero. If there are no timers but blocked waiters
 // remain, the simulation can never make progress: panic with diagnostics.
+// A batch holding AfterFunc callbacks takes one runnable token for them
+// and runs them in (deadline, seq) order with mu released, so they can
+// file timers and wake processes; mu is held again on return.
 func (v *refEngine) advance() {
 	for v.runnable == 0 {
 		if len(v.timers) == 0 {
@@ -157,11 +176,42 @@ func (v *refEngine) advance() {
 		}
 		v.cur = deadline
 		v.nowAtomic.Store(int64(deadline))
+		batch := v.fireBuf[:0]
+		callbacks := false
 		for len(v.timers) > 0 && v.timers[0].deadline == deadline {
 			t := v.timers.pop()
+			if t.fn != nil {
+				callbacks = true
+				batch = append(batch, t)
+				continue
+			}
 			v.runnable++
+			if callbacks {
+				batch = append(batch, t) // signalled in order below
+				continue
+			}
 			t.ch <- struct{}{} // never blocks: cap 1, exactly one sleeper
 		}
+		if !callbacks {
+			v.fireBuf = batch
+			continue
+		}
+		v.fireBuf = nil // the batch stays ours while mu is dropped
+		v.runnable++
+		v.mu.Unlock()
+		for i, t := range batch {
+			batch[i] = nil
+			if fn := t.fn; fn != nil {
+				t.fn = nil
+				timerPool.Put(t)
+				fn()
+			} else {
+				t.ch <- struct{}{}
+			}
+		}
+		v.mu.Lock()
+		v.fireBuf = batch[:0]
+		v.runnable--
 	}
 }
 
@@ -171,6 +221,7 @@ type timer struct {
 	deadline time.Duration
 	seq      int64 // FIFO tiebreak among equal deadlines
 	ch       chan struct{}
+	fn       func() // AfterFunc callback; nil for a sleeper
 }
 
 // timerHeap is a min-heap of timers ordered by (deadline, seq). It is a

@@ -66,6 +66,12 @@ func (w *Wall) After(d time.Duration, fn func()) {
 	})
 }
 
+// AfterFunc runs fn on its own goroutine once d of real time has
+// passed, exactly like time.AfterFunc (d <= 0: as soon as possible).
+// Callbacks may run concurrently with each other and with every other
+// goroutine; only the virtual engines serialise them.
+func (w *Wall) AfterFunc(d time.Duration, fn func()) { w.eng.afterFunc(d, fn) }
+
 // Detach is a no-op: the wall clock keeps no runnable accounting.
 func (w *Wall) Detach() { w.eng.deregister() }
 
@@ -94,6 +100,8 @@ func (e *wallEngine) sleep(d time.Duration) {
 		time.Sleep(d)
 	}
 }
+
+func (e *wallEngine) afterFunc(d time.Duration, fn func()) { time.AfterFunc(d, fn) }
 
 func (e *wallEngine) register()   {}
 func (e *wallEngine) deregister() {}
